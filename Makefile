@@ -90,8 +90,10 @@ bench-spill:
 	go test . -run '^$$' -bench '^BenchmarkSpill' -benchmem -benchtime 3x
 
 fuzz:
+	go test ./internal/cqparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s
 	go test ./internal/sqlparse -fuzz 'FuzzParse$$' -fuzztime 30s
 	go test ./internal/sqlparse -fuzz 'FuzzParseNaive$$' -fuzztime 30s
+	go test ./internal/server -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s
 
 # Paper-scale sweeps with timeouts (slow; see -scale to shrink).
 experiments:

@@ -20,7 +20,10 @@ import (
 // The cache memoizes every Join and Project subtree result under a key
 // that is invariant to variable renaming:
 //
-//	key = databaseFingerprint ⊕ plan.Fingerprint(subtree)
+//	key = readSet(subtree) ⊕ plan.Fingerprint(subtree)
+//
+// where the read set pairs each relation the subtree scans with its
+// memoized content digest (relation.ContentDigest).
 //
 // Cached relations are stored over canonical attributes (the fingerprint's
 // first-occurrence numbering) and re-bound to the hitting subtree's actual
@@ -177,13 +180,13 @@ func (c *Cache) put(key string, rel *relation.Relation, stats Stats) {
 	c.totalBytes.Add(bytes)
 }
 
-// DatabaseFingerprint digests a database's contents: relation names,
-// schemas, and every tuple in insertion order. Two executions share cache
-// entries only under equal fingerprints, so a mutated or regenerated
-// database (each SAT repetition builds a fresh one) never aliases stale
-// results. The paper's databases are tiny — a 6-tuple relation for
-// 3-COLOR — so the digest is recomputed per execution rather than
-// memoized against mutation hazards.
+// DatabaseFingerprint digests a whole database: every relation's name
+// and memoized relation.ContentDigest, in name order. It costs
+// O(relations), not O(tuples): each relation is hashed once, on first
+// use, and re-hashed only after a mutation (see ContentDigest). The
+// cache itself keys entries on the narrower read set (subplanKey); this
+// whole-database form is for callers that want one identity per
+// database.
 func DatabaseFingerprint(db cq.Database) string {
 	names := make([]string, 0, len(db))
 	for name := range db {
@@ -191,50 +194,81 @@ func DatabaseFingerprint(db cq.Database) string {
 	}
 	sort.Strings(names)
 	var h uint64 = 14695981039346656037
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= uint64(byte(v >> s))
-			h *= 1099511628211
-		}
-	}
 	for _, name := range names {
 		for i := 0; i < len(name); i++ {
 			h ^= uint64(name[i])
 			h *= 1099511628211
 		}
-		r := db[name]
-		mix(uint64(r.Arity()))
-		mix(uint64(r.Len()))
-		for _, a := range r.Attrs() {
-			mix(uint64(a))
+		d := db[name].ContentDigest()
+		for s := 0; s < 64; s += 8 {
+			h ^= uint64(byte(d >> s))
+			h *= 1099511628211
 		}
-		r.Each(func(t relation.Tuple) bool {
-			for _, v := range t {
-				mix(uint64(uint32(v)))
-			}
-			return true
-		})
 	}
 	return fmt.Sprintf("%016x", h)
 }
 
-// cacheKey combines the database and subtree fingerprints, returning the
-// canonicalization witness needed to bind a cached relation to the
-// subtree's actual variables.
-func cacheKey(dbFP string, n plan.Node) (string, []cq.Var) {
+// subplanKey keys subtree n's cache entry on its read set and its
+// renaming-invariant fingerprint, returning the canonicalization witness
+// needed to bind a cached relation to the subtree's actual variables.
+//
+// The read set pairs each relation the subtree scans, once, with its
+// memoized relation.ContentDigest, in plan.Fingerprint's left-to-right
+// walk order. Keying on it instead of the whole database makes an entry
+// depend only on what its subtree reads: a lookup costs O(relations
+// read), a relation a request shadows re-keys only the subtrees that
+// scan it, and a mutated relation can never alias a stale entry.
+func subplanKey(db cq.Database, n plan.Node) (string, []cq.Var) {
 	fp, vars := plan.Fingerprint(n)
-	return dbFP + "\x00" + fp, vars
+	var seen [8]string
+	b := make([]byte, 0, len(fp)+64)
+	b, _ = appendReadSet(b, db, n, seen[:0])
+	b = append(b, 0)
+	b = append(b, fp...)
+	return string(b), vars
+}
+
+// appendReadSet appends "name:digest," for every relation under n not
+// already in seen, in walk order, and returns the grown seen list.
+func appendReadSet(b []byte, db cq.Database, n plan.Node, seen []string) ([]byte, []string) {
+	switch t := n.(type) {
+	case *plan.Scan:
+		name := t.Atom.Rel
+		for _, s := range seen {
+			if s == name {
+				return b, seen
+			}
+		}
+		b = append(b, name...)
+		b = append(b, ':')
+		if rel, ok := db[name]; ok {
+			b = strconv.AppendUint(b, rel.ContentDigest(), 16)
+		} else {
+			b = append(b, '-') // unknown: the run fails before any store
+		}
+		return append(b, ','), append(seen, name)
+	case *plan.Join:
+		b, seen = appendReadSet(b, db, t.Left, seen)
+		return appendReadSet(b, db, t.Right, seen)
+	case *plan.Project:
+		return appendReadSet(b, db, t.Child, seen)
+	default:
+		for _, c := range n.Children() {
+			b, seen = appendReadSet(b, db, c, seen)
+		}
+		return b, seen
+	}
 }
 
 // streamScanKeys derives the streaming engine's per-scan cache keys: one
 // key per base-relation occurrence, in the pushdown pre-pass's collect
 // (DFS) order. The reduced view of a scan depends on every reduction edge
-// of the plan, so the key embeds the whole plan's renaming-invariant
-// fingerprint; the scan position disambiguates occurrences, and DFS order
-// corresponds across isomorphic plans.
-func streamScanKeys(dbFP string, p plan.Node, n int) []string {
-	fp, _ := plan.Fingerprint(p)
-	prefix := dbFP + "\x00streamscan:" + fp + ":"
+// of the plan, so the key embeds the whole plan's read set and
+// renaming-invariant fingerprint; the scan position disambiguates
+// occurrences, and DFS order corresponds across isomorphic plans.
+func streamScanKeys(db cq.Database, p plan.Node, n int) []string {
+	key, _ := subplanKey(db, p)
+	prefix := key + "\x00streamscan:"
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = prefix + strconv.Itoa(i)

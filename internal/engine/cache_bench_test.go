@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"projpush/internal/core"
@@ -71,6 +72,46 @@ func BenchmarkEngineCacheParallel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ExecParallel(p, db, Options{Cache: c}, 4); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEngineCacheHitResident measures a warm cache hit as the
+// resident database grows: the bucket-elimination figure plan joined on
+// its free variable with a relation "big" that pads the database to the
+// given tuple count (just the 6-tuple edge relation at tuples=6). A hit
+// keys on the memoized content digests of the relations the plan reads,
+// so ns/op should stay flat in resident size; a per-execution digest of
+// the whole database would grow linearly with it.
+func BenchmarkEngineCacheHitResident(b *testing.B) {
+	fig, db := benchWorkload(b, core.MethodBucketElimination)
+	free := fig.Attrs()[0]
+	p := &plan.Project{Cols: []cq.Var{free}, Child: &plan.Join{
+		Left:  fig,
+		Right: &plan.Scan{Atom: cq.Atom{Rel: "big", Args: []cq.Var{free, 1 << 20}}},
+	}}
+	for _, tuples := range []int{6, 30000, 530000} {
+		big := relation.New([]relation.Attr{0, 1})
+		for i := 0; big.Len() < tuples-db["edge"].Len(); i++ {
+			big.Add(relation.Tuple{relation.Value(i % 3), relation.Value(i)})
+		}
+		resident := cq.Database{"edge": db["edge"], "big": big}
+		b.Run(fmt.Sprintf("tuples=%d", tuples), func(b *testing.B) {
+			c := NewCache(0)
+			if _, err := Exec(p, resident, Options{Cache: c}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Exec(p, resident, Options{Cache: c})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Stats.CacheHits != 1 || res.Stats.CacheMisses != 0 {
+					b.Fatalf("warm run: hits=%d misses=%d, want a root hit", res.Stats.CacheHits, res.Stats.CacheMisses)
 				}
 			}
 		})

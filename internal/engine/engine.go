@@ -11,11 +11,12 @@
 //
 // Executions can share a subplan result Cache (Options.Cache): Join and
 // Project subtrees are memoized under a renaming-invariant fingerprint
-// plus a database fingerprint, so repeated executions of identical
-// subtrees — across methods, repetitions, and the sequential and parallel
-// executors — return the memoized relation instead of re-joining. Hits
-// replay the subtree's recorded instrumentation, keeping cache-on and
-// cache-off stats identical (except elapsed time, which is the point).
+// plus the content digests of the relations they read, so repeated
+// executions of identical subtrees — across methods, repetitions, and the
+// sequential and parallel executors — return the memoized relation
+// instead of re-joining. Hits replay the subtree's recorded
+// instrumentation, keeping cache-on and cache-off stats identical (except
+// elapsed time, which is the point).
 package engine
 
 import (
@@ -170,7 +171,6 @@ type executor struct {
 	maxBytes int64
 	bytes    atomic.Int64
 	cache    *Cache
-	dbFP     string
 	stats    Stats
 
 	// Spill state (nil/zero when Options.SpillDir is empty). parked
@@ -211,9 +211,6 @@ func newExecutor(ctx context.Context, db cq.Database, opt Options) *executor {
 	}
 	if opt.Timeout > 0 {
 		ex.deadline = time.Now().Add(opt.Timeout)
-	}
-	if ex.cache != nil {
-		ex.dbFP = DatabaseFingerprint(db)
 	}
 	return ex
 }
@@ -433,7 +430,7 @@ func (ex *executor) eval(n plan.Node, st *Stats) (*relation.Relation, error) {
 // evalCached wraps evalOp in a cache lookup/store for a Join or Project
 // subtree.
 func (ex *executor) evalCached(n plan.Node, st *Stats) (*relation.Relation, error) {
-	key, vars := cacheKey(ex.dbFP, n)
+	key, vars := subplanKey(ex.db, n)
 	if rel, sub, ok := ex.cache.get(key); ok && ex.admissible(&sub) {
 		// A hit whose recorded intermediates exceed this run's row cap
 		// or byte budget falls through to honest re-execution (which

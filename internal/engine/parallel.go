@@ -76,9 +76,6 @@ func ExecParallelContext(ctx context.Context, n plan.Node, db cq.Database, opt O
 		sem:      make(chan struct{}, workers),
 		sizes:    make(map[plan.Node]int),
 	}
-	if pe.cache != nil {
-		pe.dbFP = DatabaseFingerprint(db)
-	}
 	measureSubtrees(n, pe.sizes)
 	root := &pframe{}
 	start := time.Now()
@@ -99,7 +96,6 @@ type parallelExec struct {
 	maxBytes int64
 	bytes    atomic.Int64
 	cache    *Cache
-	dbFP     string
 	workers  int
 	sem      chan struct{}
 	sizes    map[plan.Node]int
@@ -183,7 +179,7 @@ func (pe *parallelExec) eval(n plan.Node, fr *pframe) (*relation.Relation, error
 // sequential executor: misses evaluate into a private frame whose totals
 // become the stored entry's stats.
 func (pe *parallelExec) evalCached(n plan.Node, fr *pframe) (*relation.Relation, error) {
-	key, vars := cacheKey(pe.dbFP, n)
+	key, vars := subplanKey(pe.db, n)
 	admissible := func(sub *Stats) bool {
 		if pe.maxRows > 0 && sub.MaxRows > pe.maxRows {
 			return false

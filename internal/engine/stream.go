@@ -35,7 +35,7 @@ package engine
 // The subplan cache (Options.Cache) memoizes the pushdown pre-pass: the
 // engine materializes no subtree join results to share, but the
 // semijoin-reduced base scans it does produce are keyed by
-// database fingerprint ⊕ whole-plan fingerprint ⊕ scan position (the
+// whole-plan read set ⊕ whole-plan fingerprint ⊕ scan position (the
 // reduced view of one scan depends on every edge of the plan, so the
 // whole-plan fingerprint — invariant to variable renaming — is the
 // finest sound key). A run that finds every scan of its plan cached
@@ -1268,11 +1268,11 @@ func execStream(cctx context.Context, p plan.Node, db cq.Database, opt Options) 
 		return nil, nil, err // structural, not a run failure
 	}
 	// Cached pushdown: if every scan's reduced view is memoized for this
-	// (database, plan) pair, swap the views in and skip the sweeps.
+	// (read set, plan) pair, swap the views in and skip the sweeps.
 	var scanKeys []string
 	reduced := false
 	if opt.Cache != nil {
-		scanKeys = streamScanKeys(DatabaseFingerprint(db), p, len(e.scans))
+		scanKeys = streamScanKeys(db, p, len(e.scans))
 		views := make([]*relation.Relation, len(e.scans))
 		counts := make([]int64, len(e.scans))
 		hitAll := true

@@ -42,7 +42,7 @@ func harnessConfig(workers int, cache *engine.Cache) Config {
 // sequentially and with a 4-worker pool, with and without a shared
 // subplan cache, and checks the schedule-independent content matches
 // exactly. Randomized instance generation and the SAT sweep (a fresh
-// database per repetition, exercising the database fingerprint) are
+// database per repetition, exercising the relation content digests) are
 // covered by the second sweep.
 func TestHarnessWorkerDeterminism(t *testing.T) {
 	run := func(workers int, cache *engine.Cache) (*Series, *Series) {

@@ -83,6 +83,10 @@ const (
 	// SpillSlow injects latency on spill file creation and read-back
 	// open, modeling a saturated or throttled disk.
 	SpillSlow
+	// PanicRequest panics on a server's request goroutine on the direct
+	// execution path, after the method's breaker admitted it: the
+	// handler bug the per-request recover scope exists for.
+	PanicRequest
 
 	numPoints
 )
@@ -105,6 +109,7 @@ var pointNames = [numPoints]string{
 	SpillRead:             "spill.read.fail",
 	SpillFull:             "spill.full",
 	SpillSlow:             "spill.slow",
+	PanicRequest:          "request.panic",
 }
 
 // PointNames returns every valid spec point name, in declaration order.

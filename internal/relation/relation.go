@@ -79,6 +79,10 @@ type Relation struct {
 	stale  bool // dedup table not built (merged partition output)
 
 	hdrs []Tuple // lazy Tuples() headers into data
+
+	// digest memoizes ContentDigest; 0 = not computed. Every in-place
+	// mutation clears it.
+	digest atomic.Uint64
 }
 
 // New returns an empty relation over the given attributes, in the given
@@ -236,6 +240,11 @@ func (r *Relation) commitStaged(t Tuple) bool {
 	if !r.dedupInsert(key, t) {
 		return false
 	}
+	// A load and check, not a store: bulk inserts into a relation
+	// nobody digested stay free of atomic writes.
+	if r.digest.Load() != 0 {
+		r.digest.Store(0)
+	}
 	r.data = r.data[:(r.n+1)*r.arity]
 	if r.n == 0 {
 		copy(r.colMin, t)
@@ -308,6 +317,43 @@ func (r *Relation) Each(f func(Tuple) bool) {
 // this relation's schema).
 func (r *Relation) Value(t Tuple, a Attr) Value {
 	return t[r.pos[a]]
+}
+
+// ContentDigest returns a 64-bit FNV-1a digest of the relation's
+// contents: arity, row count, the attributes in column order, and every
+// row in insertion order. Relations built separately by the same
+// sequence of inserts have equal digests; any mutation changes it. It is
+// the engine's subplan cache key for what a subtree reads.
+//
+// The digest is computed on first use and memoized; commitStaged (every
+// insert) and SemijoinFilter's in-place compaction clear the memo, and
+// every other operation returns a new relation with an empty one. Like
+// every read, it is safe for concurrent callers while no one mutates the
+// relation.
+func (r *Relation) ContentDigest() uint64 {
+	if d := r.digest.Load(); d != 0 {
+		return d
+	}
+	h := uint64(14695981039346656037)
+	mix := func(v uint64, width int) {
+		for s := 0; s < width; s += 8 {
+			h ^= uint64(byte(v >> s))
+			h *= 1099511628211
+		}
+	}
+	mix(uint64(r.arity), 64)
+	mix(uint64(r.n), 64)
+	for _, a := range r.attrs {
+		mix(uint64(a), 64)
+	}
+	for _, v := range r.data[:r.n*r.arity] {
+		mix(uint64(uint32(v)), 32)
+	}
+	if h == 0 {
+		h = 1 // 0 marks "not computed"
+	}
+	r.digest.Store(h)
+	return h
 }
 
 // Bytes approximates the relation's resident memory in bytes: the tuple

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -618,5 +619,66 @@ func TestQuickPackedDedupMatchesStringDedup(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestContentDigest(t *testing.T) {
+	a, b := edgeRelation(0, 1), edgeRelation(0, 1)
+	d := a.ContentDigest()
+	if d == 0 || d != b.ContentDigest() {
+		t.Fatalf("equal contents built separately: digests %x and %x", d, b.ContentDigest())
+	}
+	if a.Clone().ContentDigest() != d {
+		t.Fatal("a clone must digest like its source")
+	}
+	if Rename(a, map[Attr]Attr{0: 5}).ContentDigest() == d {
+		t.Fatal("renamed attributes must change the digest")
+	}
+	// A duplicate insert changes nothing; a new row clears the memo, even
+	// on a relation whose storage a Rename shares.
+	a.Add(Tuple{0, 1})
+	if a.ContentDigest() != d {
+		t.Fatal("duplicate insert changed the digest")
+	}
+	a.Add(Tuple{7, 7})
+	if a.ContentDigest() == d {
+		t.Fatal("insert left the memoized digest in place")
+	}
+	if b.ContentDigest() != d {
+		t.Fatal("inserting into one relation changed another's digest")
+	}
+	// In-place compaction of private storage clears the memo too.
+	out, removed, err := SemijoinFilter(b, FromTuples([]Attr{0}, []Tuple{{1}}), nil)
+	if err != nil || out != b || removed == 0 {
+		t.Fatalf("want an in-place filter: same=%v removed=%d err=%v", out == b, removed, err)
+	}
+	if b.ContentDigest() == d {
+		t.Fatal("in-place SemijoinFilter left the memoized digest in place")
+	}
+	if want := FromTuples([]Attr{0, 1}, b.Tuples()).ContentDigest(); b.ContentDigest() != want {
+		t.Fatal("filtered relation digests unlike a fresh build of its rows")
+	}
+}
+
+func TestContentDigestConcurrentReaders(t *testing.T) {
+	r := New([]Attr{0, 1})
+	for i := Value(0); i < 1000; i++ {
+		r.Add(Tuple{i, i * 7})
+	}
+	want := r.Clone().ContentDigest()
+	var wg sync.WaitGroup
+	got := make([]uint64, 8)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = r.ContentDigest()
+		}(g)
+	}
+	wg.Wait()
+	for g, d := range got {
+		if d != want {
+			t.Fatalf("reader %d: digest %x, want %x", g, d, want)
+		}
 	}
 }

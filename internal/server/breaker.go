@@ -113,6 +113,19 @@ func (b *breaker) record(err error) {
 	b.state = breakerClosed
 }
 
+// settle records the outcome of a request allowDirect admitted. Defer
+// it right after the claim: it runs on every exit path, and a panic
+// unwinding the request counts as ErrInternal (and keeps unwinding to
+// the request's recover scope), so a half-open trial claim cannot leak
+// and leave the method off its direct path for good.
+func (b *breaker) settle(outcome *error) {
+	if r := recover(); r != nil {
+		b.record(engine.ErrInternal)
+		panic(r)
+	}
+	b.record(*outcome)
+}
+
 // status renders the current state for the health endpoint.
 func (b *breaker) status() string {
 	b.mu.Lock()

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // MaxFrame bounds a single protocol frame. Oversized frames fail the
@@ -290,19 +291,36 @@ func WriteFrame(w io.Writer, v any) error {
 	return err
 }
 
+// frameChunk is how far ReadFrame's buffer may run ahead of the bytes
+// that have arrived.
+const frameChunk = 64 << 10
+
 // ReadFrame reads one length-prefixed frame and unmarshals it into v.
+// The payload buffer grows as bytes arrive, at most doubling what has
+// been read (or one frameChunk) ahead, so a peer that announces a
+// MaxFrame payload and hangs up costs what it sent, not the header's
+// claim.
 func ReadFrame(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > MaxFrame {
 		return fmt.Errorf("server: frame length %d exceeds MaxFrame", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
+	payload := make([]byte, 0, min(n, frameChunk))
+	for len(payload) < n {
+		step := min(n-len(payload), max(len(payload), frameChunk))
+		payload = slices.Grow(payload, step)
+		got, err := io.ReadFull(r, payload[len(payload):len(payload)+step])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			if err == io.EOF && len(payload) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
 	}
 	return json.Unmarshal(payload, v)
 }

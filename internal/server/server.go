@@ -655,52 +655,52 @@ func (s *Server) handleQuery(reqCtx context.Context, req *Request, remote string
 	// ladder re-plans with safer methods.
 	br := s.breakerFor(string(method))
 	direct := br.allowDirect()
+	// outcome is the direct path's own result, recorded on every exit
+	// path (a panic counts as ErrInternal), so a claimed half-open
+	// trial is always released.
+	var outcome error
+	if direct {
+		defer br.settle(&outcome)
+		faultinject.Panic(faultinject.PanicRequest)
+	}
 	var res *engine.Result
 	switch {
 	case method == core.MethodYannakakis && (s.cfg.Resilient || !direct):
 		// Full reducer first, degrading to the plan-based ladder.
 		res, err = engine.ExecResilientStrategy(ctx, resilience.YannakakisRung(q),
 			resilience.PlanLadder(q, nil), db, opt, s.cfg.Workers)
-		if direct {
-			br.record(directOutcome(res))
-		}
+		outcome = directOutcome(res)
 	case method == core.MethodYannakakis:
 		res, err = engine.ExecYannakakisContext(ctx, q, db, opt)
-		br.record(err)
+		outcome = err
 	case method == core.MethodStream && (s.cfg.Resilient || !direct):
 		// Streaming engine first, degrading to the plan-based ladder.
 		res, err = engine.ExecResilientStrategy(ctx, resilience.StreamRung(q),
 			resilience.PlanLadder(q, nil), db, opt, s.cfg.Workers)
-		if direct {
-			br.record(directOutcome(res))
-		}
+		outcome = directOutcome(res)
 	case method == core.MethodStream:
 		res, err = engine.ExecStreamContext(ctx, p, db, opt)
-		br.record(err)
+		outcome = err
 	case method == core.MethodWCOJ && (s.cfg.Resilient || !direct):
 		// Leapfrog multiway join first, degrading to the plan-based
 		// ladder (whose bucket-elimination plan is the width-optimal
 		// materializing fallback).
 		res, err = engine.ExecResilientStrategy(ctx, resilience.WCOJRung(q),
 			resilience.PlanLadder(q, nil), db, opt, s.cfg.Workers)
-		if direct {
-			br.record(directOutcome(res))
-		}
+		outcome = directOutcome(res)
 	case method == core.MethodWCOJ:
 		res, err = engine.ExecWCOJContext(ctx, q, db, opt)
-		br.record(err)
+		outcome = err
 	case s.cfg.Resilient || !direct:
 		res, err = engine.ExecResilient(ctx, p, resilience.DegradationLadder(q, nil), db, opt, s.cfg.Workers)
-		if direct {
-			br.record(directOutcome(res))
-		}
+		outcome = directOutcome(res)
 	default:
 		if s.cfg.Workers > 1 {
 			res, err = engine.ExecParallelContext(ctx, p, db, opt, s.cfg.Workers)
 		} else {
 			res, err = engine.ExecContext(ctx, p, db, opt)
 		}
-		br.record(err)
+		outcome = err
 	}
 
 	resp := &Response{Verdict: verdict}

@@ -615,3 +615,63 @@ func TestPipelinedRequestsAllAnswered(t *testing.T) {
 		}
 	}
 }
+
+// TestBreakerPanickingTrialReleasesClaim trips a method's breaker, lets
+// its half-open trial panic on the request goroutine, and checks the
+// claim on the trial is released: after the next cooldown a trial is
+// admitted again, runs on the direct path and closes the breaker.
+func TestBreakerPanickingTrialReleasesClaim(t *testing.T) {
+	defer faultinject.Disable()
+	now := time.Unix(0, 0)
+	var mu sync.Mutex
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	advance := func() {
+		mu.Lock()
+		now = now.Add(2 * time.Minute)
+		mu.Unlock()
+	}
+	g := graph.AugmentedPath(4)
+	in := colorQuery(t, g)
+	s, addr := startServer(t, Config{
+		DB: in.db, BreakerThreshold: 1, BreakerCooldown: time.Minute, MaxBytes: 1 << 30, now: clock,
+	})
+	req := &Request{Op: "query", Query: queryText(t, g)}
+	// The methodless narrow query routes to yannakakis.
+	const method = "yannakakis"
+
+	if err := faultinject.Enable("join.alloc=1", 11); err != nil {
+		t.Fatal(err)
+	}
+	if resp := roundTrip(t, addr, req); resp.Status != StatusResourceLimit {
+		t.Fatalf("tripping request: status = %s (%s), want resource_limit", resp.Status, resp.Error)
+	}
+	if got := s.health().Breakers[method]; got != "open" {
+		t.Fatalf("breaker = %q after the failure, want open", got)
+	}
+
+	advance()
+	if err := faultinject.Enable("request.panic=1", 1); err != nil {
+		t.Fatal(err)
+	}
+	if resp := roundTrip(t, addr, req); resp.Status != StatusInternal {
+		t.Fatalf("panicking trial: status = %s (%s), want internal", resp.Status, resp.Error)
+	}
+	faultinject.Disable()
+
+	advance()
+	resp := roundTrip(t, addr, req)
+	if resp.Status != StatusOK {
+		t.Fatalf("trial after the next cooldown: status = %s (%s), want ok", resp.Status, resp.Error)
+	}
+	if resp.Stats != nil && len(resp.Stats.Attempts) > 0 {
+		t.Fatalf("trial after the next cooldown ran on the ladder (%d attempts): the panicking trial leaked its claim",
+			len(resp.Stats.Attempts))
+	}
+	if got := s.health().Breakers[method]; got != "closed" {
+		t.Fatalf("breaker = %q after a successful trial, want closed", got)
+	}
+}
